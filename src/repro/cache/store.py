@@ -63,7 +63,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fsm -> crysl)
 #: (``kernel``) and DFAs stopped pickling their lazy memos; v1 entries
 #: are unreachable under v2 keys, and a v1 payload encountered at a v2
 #: key (or any schema drift) is evicted on load.
-SCHEMA_VERSION = 2
+#:
+#: v3: ``path_labels`` may be ``None`` — the DFA of a rule only the
+#: analyzer compiled persists before its paths are enumerated.
+SCHEMA_VERSION = 3
 
 _SUFFIX = ".artefacts.pkl"
 
@@ -98,8 +101,9 @@ class CachedArtefacts:
     #: transition table, liveness bitmasks) — persisted so a warm start
     #: skips the kernel build along with the DFA build
     kernel: "DfaKernel"
-    #: enumerated repetition-free accepting paths, as label sequences
-    path_labels: tuple[tuple[str, ...], ...]
+    #: enumerated repetition-free accepting paths, as label sequences;
+    #: ``None`` when they were never enumerated
+    path_labels: tuple[tuple[str, ...], ...] | None
     #: label -> concrete event labels (aggregates pre-expanded)
     expansions: dict[str, tuple[str, ...]]
     #: predicate name -> indexes into ``rule.ensures``

@@ -278,6 +278,9 @@ class CompiledRule:
                         )
                     )
                     self._stats.bump("path_enumerations")
+                    # A persisted DFA-only entry lacks these paths:
+                    # let the next flush write the complete entry.
+                    self.persisted = False
                 paths = self._paths
         return paths
 
@@ -302,15 +305,14 @@ class CompiledRule:
     def _preload(self, artefacts: "CachedArtefacts") -> bool:
         if artefacts.rule_class != self.rule.class_name:
             return False
-        paths: list[tuple[ast.Event, ...]] = []
-        for labels in artefacts.path_labels:
-            events = []
-            for label in labels:
-                event = self.rule.event_labelled(label)
-                if event is None:
-                    return False
-                events.append(event)
-            paths.append(tuple(events))
+        paths = None
+        if artefacts.path_labels is not None:
+            paths = tuple(
+                tuple(map(self.rule.event_labelled, labels))
+                for labels in artefacts.path_labels
+            )
+            if any(event is None for path in paths for event in path):
+                return False
         signatures: dict[tuple[str, int], ast.Event] = {}
         for signature, label in artefacts.event_signatures.items():
             event = self.rule.event_labelled(label)
@@ -332,7 +334,7 @@ class CompiledRule:
             return False
         self._dfa = artefacts.dfa
         self._kernel = artefacts.kernel
-        self._paths = tuple(paths)
+        self._paths = paths
         self._expansions = dict(artefacts.expansions)
         self._ensures_by_name = ensures_by_name
         self._events_by_signature = signatures
@@ -343,15 +345,21 @@ class CompiledRule:
     def export_artefacts(self) -> "CachedArtefacts | None":
         """The persistable form of this rule's artefacts.
 
-        Returns ``None`` while the expensive derivations (DFA, paths)
-        have not been forced yet — there is nothing worth writing. The
+        Returns ``None`` while the DFA has not been built — there is
+        nothing worth writing; paths are included once enumerated. The
         cheap indexes are forced here so a persisted entry is complete.
         """
         with self._lock:
             return self._export_artefacts()
 
+    def mark_persisted(self, artefacts: "CachedArtefacts") -> None:
+        """Record that ``artefacts`` reached the disk store."""
+        with self._lock:
+            # Paths enumerated since the export still need a write.
+            self.persisted = artefacts.path_labels is not None or self._paths is None
+
     def _export_artefacts(self) -> "CachedArtefacts | None":
-        if self._dfa is None or self._paths is None:
+        if self._dfa is None:
             return None
         from ..cache.store import CachedArtefacts, SCHEMA_VERSION
 
@@ -368,8 +376,10 @@ class CompiledRule:
             rule_class=self.rule.class_name,
             dfa=self._dfa,
             kernel=self.kernel,
-            path_labels=tuple(
-                tuple(event.label for event in path) for path in self._paths
+            path_labels=(
+                tuple(tuple(event.label for event in path) for path in self._paths)
+                if self._paths is not None
+                else None
             ),
             expansions=dict(self._expansions),
             ensures_index={

@@ -298,7 +298,8 @@ class RuleSet:
 
         Idempotent and cheap when there is nothing new: entries loaded
         from disk, or already written, are skipped, as are entries
-        whose expensive artefacts were never forced.
+        whose DFA was never built. An entry whose paths are enumerated
+        after it was written is written again, complete.
         """
         if self._disk_cache is None:
             return 0
@@ -313,7 +314,7 @@ class RuleSet:
                 continue
             if self._disk_cache.store(entry.disk_key, artefacts):
                 self._compile_stats.bump("disk_writes")
-                entry.persisted = True
+                entry.mark_persisted(artefacts)
                 written += 1
         return written
 

@@ -7,8 +7,8 @@ state the one-shot CLI used to rebuild per invocation:
 * one frozen rule set — bundled, or an incremental
   :class:`~repro.crysl.repository.RuleRepository` over a directory;
 * one :class:`~repro.cache.DiskRuleCache` (optional);
-* one warm :class:`~repro.codegen.parallel.WorkerPool` (created on the
-  first parallel batch, reused by every later one);
+* one warm :class:`~repro.engine.supervisor.SupervisedWorkerPool`
+  (built by the first batch that fans out, reused by every later one);
 * one cumulative :class:`~repro.diagnostics.Diagnostics`, shared by
   the generation context and the project analyzer.
 
@@ -30,17 +30,19 @@ deltas are captured through context-local sinks
 is single-flight on the rule set, and repeated identical generate
 requests are answered from a bounded LRU
 :class:`~repro.engine.result_cache.ResultCache` that ``refresh_rules``
-invalidates. Only ``refresh_rules`` and parallel batches serialize
-against each other (they swap or share the process worker pool).
+invalidates. Only ``refresh_rules``, parallel batches and parallel
+analyses serialize against each other (they swap or share the process
+worker pool).
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .. import faults
 from ..codegen import (
@@ -60,7 +62,7 @@ from ..sast.summary_cache import SummaryCache
 from ..trace import Trace, activate as activate_trace
 from .breaker import BreakerConfig, BreakerRegistry, CircuitOpenError
 from .result_cache import DEFAULT_CAPACITY, ResultCache, ResultKey
-from .supervisor import SupervisedWorkerPool, SupervisorConfig
+from .supervisor import SupervisedWorkerPool, SupervisorConfig, TaskRunner
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..cache import DiskRuleCache
@@ -287,9 +289,9 @@ class CryptoGenEngine:
         self._request_counter = 0
         #: guards request ids, counters and lazy service construction
         self._lock = threading.RLock()
-        #: serializes refresh_rules against parallel batches — both
-        #: touch the process worker pool, which must not be torn down
-        #: mid-batch. Serial generate/analyze never take it.
+        #: serializes refresh_rules against parallel batches and
+        #: analyses — all touch the process worker pool, which must not
+        #: be torn down mid-batch. Serial generate/analyze never take it.
         self._batch_lock = threading.Lock()
         #: memo of completed generate requests (see engine.result_cache)
         self.result_cache: "ResultCache[GeneratedModule]" = ResultCache(
@@ -377,6 +379,7 @@ class CryptoGenEngine:
     def pool(self, jobs: int) -> SupervisedWorkerPool:
         """The supervised warm worker pool, (re)created when ``jobs`` grows.
 
+        Generation batches and analysis components share it.
         Supervision means batches never see a raw ``BrokenProcessPool``:
         worker death restarts the pool (bounded backoff + jitter) and
         resubmits the batch; an exhausted restart budget degrades the
@@ -387,12 +390,21 @@ class CryptoGenEngine:
             self._close_pool()
         if self._pool is None:
             self._pool = SupervisedWorkerPool(
-                self._generator,
+                TaskRunner.for_generator(
+                    self._generator, summary_cache=self.summary_cache
+                ),
                 jobs,
                 config=self._supervisor_config,
                 diagnostics=self.diagnostics,
             )
         return self._pool
+
+    @contextmanager
+    def _pool_lease(self, jobs: int) -> Iterator[SupervisedWorkerPool]:
+        """The engine's :data:`~repro.engine.supervisor.PoolLease`: the
+        resident pool, held under the batch lock for one batch."""
+        with self._batch_lock:
+            yield self.pool(jobs)
 
     def _close_pool(self) -> None:
         if self._pool is not None:
@@ -626,14 +638,12 @@ class CryptoGenEngine:
         request_id = self._next_request_id(None)
         trace = Trace(request_id)
         failures_by_index: dict[int, EngineError] = {}
-        with self._batch_lock, activate_trace(trace), trace.span(
-            "request:generate-batch"
-        ):
+        with activate_trace(trace), trace.span("request:generate-batch"):
             with track_compile_deltas() as delta:
                 try:
                     modules: list[GeneratedModule | None] = list(
                         self._generator.generate_many(
-                            templates, pool=self.pool(jobs)
+                            templates, jobs=jobs, pool=self._pool_lease
                         )
                     )
                 except BatchGenerationError as exc:
@@ -701,8 +711,10 @@ class CryptoGenEngine:
                                 "analyze request needs paths or sources"
                             )
                         analysis = self.analyzer.analyze_sources(
-                            sources, jobs=request.jobs
+                            sources, jobs=request.jobs, pool=self._pool_lease
                         )
+                        if delta.dfa_builds:  # no generation run flushes these
+                            self.ruleset.flush_disk_cache()
                     except RECOVERABLE_ERRORS as exc:
                         error = EngineError(type(exc).__name__, str(exc))
         except BaseException:

@@ -31,6 +31,15 @@ written by a per-connection writer thread in request order — each
 response carries a per-connection ``seq`` number — so pipelined
 clients always read answers in the order they asked.
 
+What a control op sees. ``stats`` and ``health`` are *barriers* for
+the earlier responses on their own connection: the connection's
+writer thread runs them (never the shared pool, never shed by a
+deadline) once every earlier response on it has been written. So a
+pipelined ``generate`` then ``stats`` counts the generate if it
+answered with its result; one answered with a ``TimeoutError`` may
+still be running. Other connections' in-flight work may or may not be
+included. ``ping`` and ``shutdown`` run on the pool like any request.
+
 Deadlines are per request, not per server: a request that exceeds
 ``timeout`` produces a structured ``TimeoutError`` response (the
 worker is abandoned; the engine is thread-safe, so later requests are
@@ -74,6 +83,7 @@ object:
 from __future__ import annotations
 
 import errno
+import functools
 import json
 import os
 import selectors
@@ -117,6 +127,10 @@ LATENCY_WINDOW = 512
 #: Ops subject to admission control. Control ops stay admissible so an
 #: overloaded server can still be pinged, inspected and shut down.
 HEAVY_OPS = frozenset({"generate", "analyze", "refresh-rules"})
+
+#: Ops the connection's writer runs in sequence, after every earlier
+#: request of that connection has been answered (see module docstring).
+BARRIER_OPS = frozenset({"stats", "health"})
 
 #: Sleep after an ``EMFILE``/``ENFILE`` accept failure before retrying.
 ACCEPT_BACKOFF_SECONDS = 0.05
@@ -276,6 +290,8 @@ class _Pending:
     future: "Future | None" = None
     #: pre-computed response (parse/protocol errors skip the pool)
     response: dict | None = field(default=None)
+    #: barrier op the writer runs when it reaches this slot
+    barrier: "Callable[[], dict] | None" = field(default=None)
     #: absolute monotonic deadline; ``None`` waits forever
     deadline: float | None = field(default=None)
 
@@ -794,8 +810,18 @@ class EngineServer:
                         )
                     )
                     continue
-                deadline = self._deadline_for(request)
                 self.metrics.submitted()
+                if op in BARRIER_OPS:
+                    # no queued-deadline shed: a barrier waits on the
+                    # connection's earlier work, not on the pool
+                    run = functools.partial(self._execute, op, request, None)
+                    queue.put(
+                        _Pending(
+                            seq, request.get("id"), op, time.monotonic(), barrier=run
+                        )
+                    )
+                    continue
+                deadline = self._deadline_for(request)
                 future = pool.submit(self._execute, op, request, deadline)
                 if heavy:
                     # Done-callbacks fire on completion *and* on
@@ -836,7 +862,9 @@ class EngineServer:
             if pending is None:
                 return
             response = pending.response
-            if response is None:
+            if pending.barrier is not None:
+                response = pending.barrier()
+            elif response is None:
                 response = self._await_response(pending)
             response["seq"] = pending.seq
             if broken:

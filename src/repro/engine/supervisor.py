@@ -1,31 +1,30 @@
-"""A supervised process worker pool: restart, retry, recycle, degrade.
+"""The supervised process worker pool: restart, retry, recycle, degrade.
 
-The raw :class:`~repro.codegen.parallel.WorkerPool` makes a throughput
-promise and no robustness promise: one worker death (OOM kill, injected
-crash, a C-extension segfault) poisons the executor and every future on
-it surfaces ``BrokenProcessPool``. A resident engine cannot pass that
-to a client — the pool is an implementation detail of *its* batch, so
-the engine's supervisor absorbs the failure:
+:class:`SupervisedWorkerPool` is the only process pool in the package.
+Generation batches and parallel analysis both submit tasks to it; a
+:class:`TaskRunner` says what the tasks run against. Workers come from
+a forkserver (:func:`pool_mp_context`), rebuild the parent's frozen
+rule set once, attach the same disk cache and touch every rule, then
+build a generator or project analyzer on their first task of that
+kind. Worker death poisons an executor (every future raises
+``BrokenProcessPool``); the supervisor absorbs it:
 
-* **Restart with backoff.** On ``BrokenProcessPool`` the dead executor
-  is discarded and a fresh warm pool is built after a bounded
-  exponential backoff with jitter (so many supervisors recovering at
-  once do not stampede the machine).
-* **Bounded retry.** Batch tasks are template paths or source text —
-  idempotent by construction — so the in-flight batch is resubmitted to
-  the rebuilt pool, up to :attr:`SupervisorConfig.max_restarts` times
-  per batch.
-* **Recycle before rot.** Long-lived workers accumulate memory; the
-  supervisor proactively rebuilds the pool at a batch boundary once it
-  has executed :attr:`SupervisorConfig.max_tasks_per_worker` tasks per
-  worker, or when any worker's reported peak RSS crosses
-  :attr:`SupervisorConfig.worker_memory_mb` (``--max-tasks-per-worker``
-  / ``--worker-memory-mb``).
-* **Degrade, don't die.** When one batch exhausts the restart budget,
-  it executes serially in the parent process — slower, but immune to
-  worker death — and the supervisor reports ``degraded: true`` until a
-  later batch (or an explicit :meth:`SupervisedWorkerPool.probe`, the
-  ``health`` op's recovery path) brings a healthy pool back.
+* **Restart with backoff.** The dead executor is discarded and a fresh
+  warm pool is built after a bounded, jittered exponential backoff.
+* **Bounded retry.** Tasks are idempotent (template paths, source
+  text, module components), so the batch is resubmitted whole, up to
+  :attr:`SupervisorConfig.max_restarts` times.
+* **Stall watchdog.** A batch with no task completion for
+  :attr:`SupervisorConfig.stall_timeout_seconds` raises
+  :class:`PoolStalledError`; the wedged pool is killed and restarted.
+* **Recycle before rot.** The pool is rebuilt at a batch boundary
+  after ``--max-tasks-per-worker`` tasks per worker or once a worker's
+  peak RSS crosses ``--worker-memory-mb``.
+* **Degrade, don't die.** A batch that exhausts the restart budget
+  runs the same task function serially in the parent, and the
+  supervisor reports ``degraded: true`` until a later batch (or
+  :meth:`SupervisedWorkerPool.probe`, the ``health`` op's recovery
+  path) brings a healthy pool back.
 
 The state machine, as reported by ``health``/``stats``::
 
@@ -39,20 +38,22 @@ The state machine, as reported by ``health``/``stats``::
 
 from __future__ import annotations
 
+import multiprocessing
 import random
+import sys
 import threading
 import time
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
+from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, ContextManager, Sequence
 
-from ..codegen.parallel import (
-    PoolStalledError,
-    TaskOutcome,
-    WorkerPool,
-    run_specs_serial,
-)
+from .. import faults
 from ..diagnostics import (
+    DISK_EVICTIONS,
+    DISK_HITS,
+    DISK_MISSES,
     SUPERVISOR_DEGRADED,
     SUPERVISOR_RECYCLES,
     SUPERVISOR_RESTARTS,
@@ -63,11 +64,44 @@ from ..trace import event as trace_event
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..codegen.generator import CrySLBasedCodeGenerator
+    from ..crysl.ruleset import RuleSet
+    from ..sast.project import ProjectAnalyzer
+    from ..sast.summary_cache import SummaryCache
 
 #: Supervisor states (the wire spelling in ``health``/``stats``).
 IDLE = "idle"
 RUNNING = "running"
 DEGRADED = "degraded"
+
+#: Task kind of one analysis component; ``"path"`` and ``"source"``
+#: tasks generate one template each.
+COMPONENT = "component"
+
+
+class PoolStalledError(BrokenProcessPool):
+    """A batch made no progress within the stall timeout.
+
+    A wedged worker leaves its executor *looking* healthy: the future
+    just never resolves. The restart loop handles this like a crash,
+    except that the wedged workers are killed, never joined.
+    """
+
+
+@dataclass
+class TaskOutcome:
+    """One task's result: a generated module, or an analysis
+    component's ``(module results, counters)``. ``in_process`` marks
+    outcomes produced in the parent, whose diagnostics are already
+    recorded there."""
+
+    index: int
+    value: object
+    failure: object = None
+    init_counters: dict | None = None
+    #: the producing worker's peak RSS in MiB (0 for in-process runs)
+    rss_mb: float = 0.0
+    #: True when produced in the parent (supervisor serial fallback)
+    in_process: bool = False
 
 
 @dataclass(frozen=True)
@@ -92,31 +126,316 @@ class SupervisorConfig:
     stall_timeout_seconds: float | None = 300.0
 
 
-class SupervisedWorkerPool:
-    """A :class:`WorkerPool` wrapped in the restart/retry/degrade loop.
+# ---------------------------------------------------------------------------
+# what a task runs against (in a worker, or in the parent when degraded)
+# ---------------------------------------------------------------------------
 
-    Drop-in for the raw pool where it matters: exposes the same
-    ``jobs``/``run_tasks``/``close`` surface, so
-    :func:`repro.codegen.parallel.run_parallel` drives it unchanged.
-    Thread-safe: the engine's batch lock already serializes batches,
-    but state transitions are locked anyway so ``health`` snapshots
-    from serve worker threads never read torn state.
+
+class TaskRunner:
+    """One frozen rule set plus the generator and analyzer tasks use.
+
+    The parent's runner wraps its own generator or analyzer, supplies
+    the workers' :meth:`initargs` and runs tasks when the pool
+    degrades; each worker rebuilds one from those initargs. What was
+    not supplied is built on the first task that needs it.
     """
 
     def __init__(
         self,
+        ruleset: "RuleSet",
+        *,
+        max_paths: int | None = None,
+        verify: bool = False,
+        summary_cache: "SummaryCache | None" = None,
+        summary_dir: str | None = None,
+        generator: "CrySLBasedCodeGenerator | None" = None,
+        analyzer: "ProjectAnalyzer | None" = None,
+    ):
+        self.ruleset = ruleset
+        self.max_paths = max_paths
+        self.verify = verify
+        self.summary_cache = summary_cache
+        if summary_cache is not None and summary_cache.directory is not None:
+            summary_dir = str(summary_cache.directory)
+        self.summary_dir = summary_dir
+        self._generator = generator
+        self._analyzer = analyzer
+
+    @classmethod
+    def for_generator(
+        cls,
         generator: "CrySLBasedCodeGenerator",
+        summary_cache: "SummaryCache | None" = None,
+    ) -> "TaskRunner":
+        return cls(
+            generator.ruleset,
+            max_paths=generator.context.max_paths,
+            verify=generator.verify,
+            summary_cache=summary_cache,
+            generator=generator,
+        )
+
+    @property
+    def generator(self) -> "CrySLBasedCodeGenerator":
+        if self._generator is None:
+            from ..codegen import CrySLBasedCodeGenerator, GenerationContext
+
+            context = GenerationContext(
+                ruleset=self.ruleset, max_paths=self.max_paths
+            )
+            self._generator = CrySLBasedCodeGenerator(
+                context=context, verify=self.verify
+            )
+        return self._generator
+
+    @property
+    def analyzer(self) -> "ProjectAnalyzer":
+        if self._analyzer is None:
+            from ..sast import ProjectAnalyzer
+            from ..sast.summary_cache import SummaryCache
+
+            if self.summary_cache is None:
+                self.summary_cache = SummaryCache(self.summary_dir)
+            self._analyzer = ProjectAnalyzer(
+                self.ruleset, summary_cache=self.summary_cache
+            )
+        return self._analyzer
+
+    def initargs(self) -> tuple:
+        """The :func:`_init_worker` arguments that rebuild this runner."""
+        ruleset = self.ruleset
+        rules_payload = tuple(
+            (rule, ruleset.rule_source(rule.class_name)) for rule in ruleset
+        )
+        cache = ruleset.disk_cache
+        # The active fault plan travels explicitly: forkserver workers
+        # inherit the environment the server froze at launch, so a plan
+        # set in the parent afterwards would be invisible to them.
+        plan = faults.active()
+        return (
+            rules_payload,
+            str(cache.directory) if cache is not None else None,
+            self.max_paths,
+            self.verify,
+            self.summary_dir,
+            plan.spec_string() if plan.probabilities else None,
+        )
+
+    def run(self, index: int, kind: str, payload, name: str) -> tuple:
+        """Run one task; returns ``(value, failure)``."""
+        if kind == COMPONENT:
+            return self.analyzer.analyze_component(payload), None
+        from ..codegen.parallel import generate_spec
+
+        return generate_spec(self.generator, index, kind, payload, name)
+
+
+# ---------------------------------------------------------------------------
+# worker-side functions (module-level so the pool can pickle references)
+# ---------------------------------------------------------------------------
+
+#: Per-worker state: the runner plus the one-shot warm-start report.
+_WORKER: dict = {}
+
+
+def _init_worker(
+    rules_payload: tuple,
+    cache_dir: str | None,
+    max_paths: int | None,
+    verify: bool,
+    summary_dir: str | None,
+    fault_spec: str | None,
+) -> None:
+    """Warm-start one worker process (runs once per process)."""
+    from ..crysl.ruleset import RuleSet
+
+    faults.configure(fault_spec)
+    ruleset = RuleSet()
+    for rule, source in rules_payload:
+        ruleset.add(rule, source=source)
+    ruleset.freeze()
+    if cache_dir is not None:
+        from ..cache import DiskRuleCache
+
+        ruleset.attach_disk_cache(DiskRuleCache(cache_dir))
+        for rule in ruleset:
+            ruleset.compiled(rule, max_paths=max_paths)
+    stats = ruleset.compile_stats
+    _WORKER["runner"] = TaskRunner(
+        ruleset, max_paths=max_paths, verify=verify, summary_dir=summary_dir
+    )
+    _WORKER["init_counters"] = {
+        DISK_HITS: stats.disk_hits,
+        DISK_MISSES: stats.disk_misses,
+        DISK_EVICTIONS: stats.disk_evictions,
+    }
+
+
+def _worker_rss_mb() -> float:
+    """This process's peak resident-set size in MiB (0 if unknown)."""
+    try:
+        import resource
+
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    except (ImportError, OSError):  # pragma: no cover - non-POSIX
+        return 0.0
+    # ru_maxrss is kilobytes on Linux, bytes on macOS.
+    if sys.platform == "darwin":  # pragma: no cover - platform-specific
+        return peak / (1024.0 * 1024.0)
+    return peak / 1024.0
+
+
+def _run_task(index: int, kind: str, payload, name: str) -> tuple:
+    """Run one task in this worker.
+
+    The ``worker_crash`` and ``slow_task`` fault points fire only here,
+    never in the parent's serial fallback. The warm-start counters ride
+    on the worker's first outcome.
+    """
+    faults.maybe_crash("worker_crash")
+    faults.maybe_sleep("slow_task")
+    value, failure = _WORKER["runner"].run(index, kind, payload, name)
+    init_counters = _WORKER.pop("init_counters", None)
+    return index, value, failure, init_counters, _worker_rss_mb()
+
+
+# ---------------------------------------------------------------------------
+# parent side
+# ---------------------------------------------------------------------------
+
+#: Imported into the forkserver before the first worker forks, so every
+#: worker inherits a warm interpreter instead of paying the import
+#: chain itself. Import failures here are ignored by multiprocessing;
+#: workers then import on demand.
+_FORKSERVER_PRELOAD = ["repro.engine.supervisor"]
+
+_MP_CONTEXT: "multiprocessing.context.BaseContext | None" = None
+
+
+def pool_mp_context() -> "multiprocessing.context.BaseContext":
+    """The multiprocessing context of every process pool.
+
+    The POSIX default start method is ``fork``, and the serve daemon is
+    heavily multithreaded: forking a multithreaded parent clones every
+    lock in whatever state some *other* thread happened to hold it, so
+    a worker can deadlock before it ever picks up a task — and the
+    executor then waits on its future forever (observed intermittently
+    under the chaos harness). ``forkserver`` forks workers from a
+    clean, single-threaded server process instead; ``spawn`` is the
+    fallback where forkserver is unavailable. Benign race: two threads
+    may build the context concurrently, but the contexts are identical
+    and the extra one is dropped.
+    """
+    global _MP_CONTEXT
+    if _MP_CONTEXT is None:
+        try:
+            context = multiprocessing.get_context("forkserver")
+            context.set_forkserver_preload(_FORKSERVER_PRELOAD)
+        except ValueError:  # pragma: no cover - non-POSIX platforms
+            context = multiprocessing.get_context("spawn")
+        _MP_CONTEXT = context
+    return _MP_CONTEXT
+
+
+def run_specs_on_executor(
+    executor,
+    specs: "Sequence[tuple]",
+    *,
+    stall_timeout: float | None = None,
+) -> list[TaskOutcome]:
+    """Submit one batch of ``(kind, payload, name)`` specs; collect the
+    outcomes in submission order.
+
+    Propagates ``BrokenProcessPool`` (and any other executor-level
+    failure) to the caller — per-template *pipeline* errors are already
+    folded into each :class:`TaskOutcome` by the worker.
+
+    With ``stall_timeout``, a progress watchdog runs over the batch:
+    the clock resets on every task completion, and if it ever expires
+    with tasks still pending the batch raises :class:`PoolStalledError`
+    instead of waiting forever on a wedged worker.
+    """
+    futures = [
+        executor.submit(_run_task, index, kind, payload, name)
+        for index, (kind, payload, name) in enumerate(specs)
+    ]
+    if stall_timeout is not None:
+        pending = set(futures)
+        while pending:
+            done, pending = futures_wait(
+                pending, timeout=stall_timeout, return_when=FIRST_COMPLETED
+            )
+            if not done:
+                for future in pending:
+                    future.cancel()
+                raise PoolStalledError(
+                    f"no task completed within {stall_timeout:.0f}s; "
+                    f"{len(pending)} of {len(specs)} still pending — "
+                    "pool presumed wedged"
+                )
+    return [TaskOutcome(*future.result()) for future in futures]
+
+
+#: Lends one batch a pool of at least the given size, as a context
+#: manager (a resident pool under its owner's lock, or a short-lived one).
+PoolLease = Callable[[int], ContextManager["SupervisedWorkerPool"]]
+
+
+def run_specs(
+    runner: TaskRunner,
+    specs: "Sequence[tuple]",
+    jobs: int = 1,
+    *,
+    pool: PoolLease | None = None,
+    diagnostics: Diagnostics | None = None,
+) -> list[TaskOutcome]:
+    """Run one batch: the one place that decides where batches run.
+
+    With ``jobs < 2`` or fewer than two specs the batch runs in this
+    process (also the degraded fallback) and ``pool`` is never called,
+    so owners pay their lock and pool (re)build only for batches that
+    fan out. Otherwise ``pool`` lends ``min(jobs, len(specs))`` workers,
+    or a short-lived pool of that size runs the batch and is closed.
+    """
+    if jobs < 2 or len(specs) < 2:
+        return [
+            TaskOutcome(i, *runner.run(i, *spec), in_process=True)
+            for i, spec in enumerate(specs)
+        ]
+    if pool is None:
+
+        def pool(workers: int) -> "SupervisedWorkerPool":
+            return SupervisedWorkerPool(runner, workers, diagnostics=diagnostics)
+
+    with pool(min(jobs, len(specs))) as live:
+        return live.run_tasks(specs)
+
+
+class SupervisedWorkerPool:
+    """A warm process pool wrapped in the restart/retry/degrade loop.
+
+    The executor starts on the first batch and stays up across
+    batches, so worker warm-up is paid per process, not per request.
+    It is bound to one :class:`TaskRunner` configuration: owners close
+    it and build a new one when that changes (a rule refresh). Owners
+    serialize batches; state is locked anyway so ``health`` snapshots
+    never read torn state.
+    """
+
+    def __init__(
+        self,
+        runner: TaskRunner,
         jobs: int,
         *,
         config: SupervisorConfig | None = None,
         diagnostics: Diagnostics | None = None,
     ):
-        self._generator = generator
+        self._runner = runner
         self.jobs = jobs
         self.config = config or SupervisorConfig()
         self.diagnostics = diagnostics
         self._lock = threading.Lock()
-        self._pool: WorkerPool | None = None
+        self._executor: ProcessPoolExecutor | None = None
         self._rng = random.Random()
         #: tasks executed through the current pool incarnation
         self._tasks_since_spawn = 0
@@ -140,22 +459,21 @@ class SupervisedWorkerPool:
         with self._lock:
             return self._degraded
 
+    def _state(self) -> str:
+        if self._degraded:
+            return DEGRADED
+        return RUNNING if self._started else IDLE
+
     @property
     def state(self) -> str:
         with self._lock:
-            if self._degraded:
-                return DEGRADED
-            return RUNNING if self._started else IDLE
+            return self._state()
 
     def to_dict(self) -> dict:
         """A JSON snapshot for ``health``/``stats``."""
         with self._lock:
             return {
-                "state": (
-                    DEGRADED
-                    if self._degraded
-                    else (RUNNING if self._started else IDLE)
-                ),
+                "state": self._state(),
                 "degraded": self._degraded,
                 "jobs": self.jobs,
                 "batches": self.batches,
@@ -171,33 +489,52 @@ class SupervisedWorkerPool:
                 "stall_timeout_seconds": self.config.stall_timeout_seconds,
             }
 
+    def _count(self, key: str) -> None:
+        if self.diagnostics is not None:
+            self.diagnostics.count(key)
+
     # ------------------------------------------------------------------
     # pool lifecycle
     # ------------------------------------------------------------------
 
-    def _ensure_pool(self) -> WorkerPool:
+    def _ensure_pool(self) -> ProcessPoolExecutor:
         with self._lock:
-            if self._pool is None:
-                self._pool = WorkerPool(self._generator, self.jobs)
+            if self._executor is None:
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self.jobs,
+                    initializer=_init_worker,
+                    initargs=self._runner.initargs(),
+                    mp_context=pool_mp_context(),
+                )
                 self._tasks_since_spawn = 0
                 self._max_rss_mb = 0.0
             self._started = True
-            return self._pool
+            return self._executor
 
     def _discard_pool(self, *, force: bool = False) -> None:
-        """Drop the current pool. ``force`` kills instead of closing —
-        required for a *stalled* pool, whose workers never exit and
-        would hang ``close()``'s join forever."""
+        """Drop the current executor.
+
+        ``force`` SIGKILLs the workers and never waits — required for a
+        *stalled* pool, whose workers never exit and would hang a
+        joining shutdown forever.
+        """
         with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            try:
-                if force:
-                    pool.kill()
-                else:
-                    pool.close()
-            except Exception:  # noqa: BLE001 - broken pools die loudly
-                pass
+            executor, self._executor = self._executor, None
+        if executor is None:
+            return
+        try:
+            if force:
+                processes = getattr(executor, "_processes", None) or {}
+                for process in list(processes.values()):
+                    try:
+                        process.kill()
+                    except Exception:  # noqa: BLE001 - racing a dying process
+                        pass
+                executor.shutdown(wait=False, cancel_futures=True)
+            else:
+                executor.shutdown(wait=True)
+        except Exception:  # noqa: BLE001 - broken pools die loudly
+            pass
 
     def _backoff(self, attempt: int) -> float:
         """The bounded, jittered sleep before rebuild ``attempt``."""
@@ -244,16 +581,15 @@ class SupervisedWorkerPool:
     # the supervised batch
     # ------------------------------------------------------------------
 
-    def run_tasks(
-        self, specs: "Sequence[tuple[str, str, str]]"
-    ) -> list[TaskOutcome]:
+    def run_tasks(self, specs: "Sequence[tuple]") -> list[TaskOutcome]:
         """Run one batch to completion, whatever the workers do.
 
-        Never raises ``BrokenProcessPool``: a crash mid-batch rebuilds
-        the pool (bounded backoff + jitter) and resubmits the whole
-        batch — tasks are idempotent — up to the restart budget, after
-        which the batch runs serially in-process and the supervisor is
-        marked degraded. A later successful pool batch clears the flag.
+        Never raises ``BrokenProcessPool``: a crash or stall mid-batch
+        rebuilds the pool (bounded backoff + jitter) and resubmits the
+        whole batch — tasks are idempotent — up to the restart budget,
+        after which the batch runs serially in-process and the
+        supervisor is marked degraded. A later successful pool batch
+        clears the flag.
         """
         with self._lock:
             self.batches += 1
@@ -262,8 +598,10 @@ class SupervisedWorkerPool:
             if self._recycle_due():
                 self._recycle()
             try:
-                outcomes = self._ensure_pool().run_tasks(
-                    specs, stall_timeout=self.config.stall_timeout_seconds
+                outcomes = run_specs_on_executor(
+                    self._ensure_pool(),
+                    specs,
+                    stall_timeout=self.config.stall_timeout_seconds,
                 )
             except BrokenProcessPool as exc:
                 # A stalled pool still has live (wedged) workers, so it
@@ -271,8 +609,7 @@ class SupervisedWorkerPool:
                 self._discard_pool(force=isinstance(exc, PoolStalledError))
                 with self._lock:
                     self.restarts += 1
-                if self.diagnostics is not None:
-                    self.diagnostics.count(SUPERVISOR_RESTARTS)
+                self._count(SUPERVISOR_RESTARTS)
                 trace_event(
                     "supervisor:restart", attempt=attempt, batch=len(specs)
                 )
@@ -282,22 +619,18 @@ class SupervisedWorkerPool:
                 attempt += 1
                 with self._lock:
                     self.retries += 1
-                if self.diagnostics is not None:
-                    self.diagnostics.count(SUPERVISOR_RETRIES)
+                self._count(SUPERVISOR_RETRIES)
                 continue
             self._note_batch(outcomes)
             return outcomes
 
-    def _run_degraded(
-        self, specs: "Sequence[tuple[str, str, str]]"
-    ) -> list[TaskOutcome]:
+    def _run_degraded(self, specs: "Sequence[tuple]") -> list[TaskOutcome]:
         with self._lock:
             self._degraded = True
             self.degraded_batches += 1
-        if self.diagnostics is not None:
-            self.diagnostics.count(SUPERVISOR_DEGRADED)
+        self._count(SUPERVISOR_DEGRADED)
         trace_event("supervisor:degraded", batch=len(specs))
-        return run_specs_serial(self._generator, specs)
+        return run_specs(self._runner, specs)
 
     def _note_batch(self, outcomes: list[TaskOutcome]) -> None:
         """Successful pool batch: account for recycling, clear degrade."""
@@ -313,7 +646,7 @@ class SupervisedWorkerPool:
 
     def _recycle_due(self) -> bool:
         with self._lock:
-            if self._pool is None:
+            if self._executor is None:
                 return False
             per_worker = self.config.max_tasks_per_worker
             if (
@@ -329,8 +662,7 @@ class SupervisedWorkerPool:
         self._discard_pool()
         with self._lock:
             self.recycles += 1
-        if self.diagnostics is not None:
-            self.diagnostics.count(SUPERVISOR_RECYCLES)
+        self._count(SUPERVISOR_RECYCLES)
         trace_event("supervisor:recycle")
 
     def __repr__(self) -> str:

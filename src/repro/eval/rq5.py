@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
-from ..study import run_study
-from ..study.study import StudyResults
+from typing import TYPE_CHECKING
+
 from .report import render_table
 
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from ..study.study import StudyResults
 
-def run_rq5(participants: int = 16, seed: int = 2026) -> StudyResults:
+
+def run_rq5(participants: int = 16, seed: int = 2026) -> "StudyResults":
+    from ..study import run_study  # needs the optional `study` extra
+
     return run_study(participants, seed)
 
 
-def render_rq5(results: StudyResults) -> str:
+def render_rq5(results: "StudyResults") -> str:
     headers = ("Metric", "Measured", "Paper")
     rows = [
         ("participants", results.participants, 16),

@@ -20,9 +20,9 @@ interplay lives in :mod:`repro.codegen.selector`.
 
 from __future__ import annotations
 
+import heapq
+from collections import deque
 from dataclasses import dataclass
-
-import networkx as nx
 
 from ..crysl import ast
 from .instances import RuleInstance
@@ -114,24 +114,34 @@ def _arities_compatible(
     return len(required.args) <= len(ensured.args)
 
 
-def link_graph(instances: list[RuleInstance], links: list[Link]) -> nx.MultiDiGraph:
-    """The chain's dataflow graph: nodes are instance indices, edges links."""
-    graph = nx.MultiDiGraph()
-    for instance in instances:
-        graph.add_node(instance.index, instance=instance)
+def link_graph(
+    instances: list[RuleInstance], links: list[Link]
+) -> dict[int, list[int]]:
+    """The chain's dataflow graph: instance index -> consumer indices,
+    one entry per link (parallel links repeat the consumer)."""
+    graph: dict[int, list[int]] = {instance.index: [] for instance in instances}
     for link in links:
-        graph.add_edge(link.producer, link.consumer, link=link)
+        graph.setdefault(link.producer, []).append(link.consumer)
+        graph.setdefault(link.consumer, [])
     return graph
 
 
-def establishes_path(graph: nx.MultiDiGraph, producer: int, consumer: int) -> bool:
+def establishes_path(graph: dict[int, list[int]], producer: int, consumer: int) -> bool:
     """Is there a predicate path from one instance to another?
 
     The paper: "If CogniCryptGEN were unable to establish a path
     between PBEKeySpec and SecretKeyFactory, it would not have taken
     the former into account when generating code for the latter."
     """
-    return nx.has_path(graph, producer, consumer)
+    seen, frontier = {producer}, deque([producer])
+    while frontier:
+        node = frontier.popleft()
+        if node == consumer:
+            return True
+        fresh = set(graph[node]) - seen
+        seen |= fresh
+        frontier.extend(fresh)
+    return False
 
 
 def emission_order(instances: list[RuleInstance], links: list[Link]) -> list[int]:
@@ -140,7 +150,20 @@ def emission_order(instances: list[RuleInstance], links: list[Link]) -> list[int
     point forward), so this is chain order — kept as an explicit
     function so ablations can plug in alternatives."""
     graph = link_graph(instances, links)
-    order = list(nx.lexicographical_topological_sort(graph))
+    indegree = dict.fromkeys(graph, 0)
+    for link in links:
+        indegree[link.consumer] += 1
+    ready = sorted(node for node, degree in indegree.items() if degree == 0)
+    order = []
+    while ready:
+        node = heapq.heappop(ready)
+        order.append(node)
+        for successor in graph[node]:
+            indegree[successor] -= 1
+            if indegree[successor] == 0:
+                heapq.heappush(ready, successor)
+    if len(order) != len(graph):
+        raise ValueError("predicate links form a cycle; no emission order")
     return order
 
 

@@ -13,16 +13,14 @@ components of the module-dependency graph (modules that define or
 reference a shared top-level name always land in the same component),
 so every worker sees exactly the resolution candidates the serial
 analysis would — findings are byte-identical to the serial path and
-land in deterministic order. Workers warm-start the same way the batch
-generator's do: the frozen rule set is rebuilt once per process and the
-compiled-rule disk cache (:mod:`repro.cache`) is attached, so a primed
-cache means zero DFA builds anywhere.
+land in deterministic order. Components are tasks of the supervised
+pool generation batches use (:mod:`repro.engine.supervisor`), with its
+crash restarts and in-process fallback.
 """
 
 from __future__ import annotations
 
 import ast as pyast
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -56,8 +54,8 @@ from .suppressions import apply_suppressions, parse_suppressions
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..constraints.types import TypeRegistry
-    from ..crysl.ast import Rule
     from ..crysl.ruleset import RuleSet
+    from ..engine.supervisor import PoolLease
 
 
 @dataclass
@@ -149,11 +147,21 @@ class ProjectAnalyzer:
     # ------------------------------------------------------------------
 
     def analyze_sources(
-        self, sources: Mapping[str, str], jobs: int = 1
+        self,
+        sources: Mapping[str, str],
+        jobs: int = 1,
+        *,
+        pool: "PoolLease | None" = None,
     ) -> ProjectAnalysisResult:
-        """Analyze a ``{module key: source text}`` mapping as one project."""
+        """Analyze a ``{module key: source text}`` mapping as one project.
+
+        Two or more components fan out over ``jobs`` workers (see
+        :func:`~repro.engine.supervisor.run_specs` for ``pool``).
+        """
         if jobs > 1 and len(sources) > 1:
-            return self._analyze_parallel(dict(sources), jobs)
+            components = _components(dict(sources))
+            if len(components) > 1:
+                return self._analyze_parallel(sources, components, jobs, pool)
         result, run_diag = self._analyze_serial(dict(sources))
         self.diagnostics.merge(run_diag)
         return result
@@ -303,54 +311,44 @@ class ProjectAnalyzer:
     # the parallel driver
     # ------------------------------------------------------------------
 
+    def analyze_component(
+        self, items: tuple[tuple[str, str], ...]
+    ) -> tuple[list[tuple[str, AnalysisResult]], dict[str, int]]:
+        """Analyze one module component; the parallel driver's task."""
+        result, run_diag = self._analyze_serial(dict(items))
+        return list(result.modules.items()), dict(run_diag.counters)
+
     def _analyze_parallel(
-        self, sources: dict[str, str], jobs: int
+        self,
+        sources: Mapping[str, str],
+        components: list[dict[str, str]],
+        jobs: int,
+        pool: "PoolLease | None",
     ) -> ProjectAnalysisResult:
-        components = _components(sources)
-        if len(components) <= 1:
-            result, run_diag = self._analyze_serial(sources)
-            self.diagnostics.merge(run_diag)
-            return result
-        ruleset = self._analyzer.ruleset
-        rules_payload = tuple(
-            (rule, ruleset.rule_source(rule.class_name)) for rule in ruleset
+        from ..engine.supervisor import COMPONENT, TaskRunner, run_specs
+
+        specs = [
+            (COMPONENT, tuple(component.items()), f"component-{index}")
+            for index, component in enumerate(components)
+        ]
+        runner = TaskRunner(
+            self._analyzer.ruleset, summary_cache=self.summary_cache, analyzer=self
         )
-        cache = ruleset.disk_cache
-        cache_dir = str(cache.directory) if cache is not None else None
-        summary_dir = (
-            str(self.summary_cache.directory)
-            if self.summary_cache.directory is not None
-            else None
+        outcomes = run_specs(
+            runner, specs, jobs, pool=pool, diagnostics=self.diagnostics
         )
-        partial: list[dict[str, AnalysisResult] | None] = [None] * len(components)
+        # Components partition the modules; reassemble them in the
+        # original module order whichever worker produced each result.
+        by_key: dict[str, AnalysisResult] = {}
         run_totals: dict[str, int] = {}
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(components)),
-            initializer=_project_init_worker,
-            initargs=(rules_payload, cache_dir, summary_dir),
-        ) as pool:
-            futures = [
-                pool.submit(
-                    _project_run_component, index, tuple(component.items())
-                )
-                for index, component in enumerate(components)
-            ]
-            for future in futures:
-                index, items, counters = future.result()
-                partial[index] = dict(items)
-                for key, amount in counters.items():
-                    self.diagnostics.count(key, amount)
-                    run_totals[key] = run_totals.get(key, 0) + amount
-        # Reassemble in the original module order regardless of which
-        # component (or worker) produced each result.
-        merged: dict[str, AnalysisResult] = {}
-        for key in sources:
-            for component_results in partial:
-                if component_results and key in component_results:
-                    merged[key] = component_results[key]
-                    break
+        for outcome in outcomes:
+            items, counters = outcome.value
+            by_key.update(items)
+            for key, amount in counters.items():
+                self.diagnostics.count(key, amount)
+                run_totals[key] = run_totals.get(key, 0) + amount
         return ProjectAnalysisResult(
-            modules=merged,
+            modules={key: by_key[key] for key in sources},
             total_functions=run_totals.get(ANALYSIS_FUNCTIONS, 0),
             reanalyzed_functions=run_totals.get(ANALYSIS_REANALYZED, 0),
             summary_cache_hits=run_totals.get(SUMMARY_HITS, 0),
@@ -408,45 +406,3 @@ def _components(sources: dict[str, str]) -> list[dict[str, str]]:
     for key in keys:  # insertion order keeps components deterministic
         groups.setdefault(find(key), {})[key] = sources[key]
     return list(groups.values())
-
-
-# ---------------------------------------------------------------------------
-# worker-side machinery (module-level so the pool can pickle references)
-# ---------------------------------------------------------------------------
-
-_PROJECT_WORKER: dict = {}
-
-
-def _project_init_worker(
-    rules_payload: "tuple[tuple[Rule, str | None], ...]",
-    cache_dir: str | None,
-    summary_dir: str | None = None,
-) -> None:
-    """Build this worker's warm analyzer (runs once per process)."""
-    from ..crysl.ruleset import RuleSet
-
-    ruleset = RuleSet()
-    for rule, source in rules_payload:
-        ruleset.add(rule, source=source)
-    ruleset.freeze()
-    if cache_dir is not None:
-        from ..cache import DiskRuleCache
-
-        ruleset.attach_disk_cache(DiskRuleCache(cache_dir))
-    # CrySLAnalyzer construction compiles every rule once — straight
-    # from the disk store when it is primed (zero DFA builds). When the
-    # parent's summary cache is disk-backed the workers share that
-    # store too, so a primed summary tier replays in parallel mode.
-    summary_cache = SummaryCache(summary_dir) if summary_dir else SummaryCache()
-    _PROJECT_WORKER["analyzer"] = ProjectAnalyzer(
-        ruleset, summary_cache=summary_cache
-    )
-
-
-def _project_run_component(
-    index: int, items: tuple[tuple[str, str], ...]
-) -> tuple[int, list[tuple[str, AnalysisResult]], dict[str, int]]:
-    """Analyze one module component in this worker."""
-    analyzer: ProjectAnalyzer = _PROJECT_WORKER["analyzer"]
-    result, run_diag = analyzer._analyze_serial(dict(items))
-    return index, list(result.modules.items()), dict(run_diag.counters)

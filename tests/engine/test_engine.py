@@ -184,6 +184,25 @@ class TestConstruction:
             assert result.ok
             assert result.dfa_builds == 0  # loaded from the disk store
 
+    def test_analyze_only_engine_persists_its_rules(self, tmp_path):
+        # The analyzer builds every rule's DFA but never enumerates
+        # paths; those entries must still reach the disk store.
+        cache_dir = tmp_path / "cache"
+        sources = {"m.py": "def f():\n    return 1\n"}
+        with CryptoGenEngine(cache_dir=cache_dir) as first:
+            cold = first.analyze(AnalyzeRequest(sources=sources))
+            assert cold.ok and cold.dfa_builds > 0
+        assert first.ruleset.compile_stats.disk_writes > 0
+        with CryptoGenEngine(cache_dir=cache_dir) as second:
+            warm = second.analyze(AnalyzeRequest(sources=sources))
+            assert warm.ok
+            assert warm.dfa_builds == 0  # loaded from the disk store
+            # Generation still enumerates the paths the analyzer skipped
+            # and writes the completed entries back.
+            assert second.generate(GenerateRequest(template=TEMPLATE)).ok
+            assert second.ruleset.compile_stats.dfa_builds == 0
+            assert second.ruleset.compile_stats.disk_writes > 0
+
     def test_refresh_without_repository_raises(self):
         engine = CryptoGenEngine()
         with pytest.raises(EngineRequestError):

@@ -28,9 +28,11 @@ from pathlib import Path
 import pytest
 
 from repro import faults
-from repro.codegen import parallel
-from repro.codegen.parallel import PoolStalledError, TaskOutcome
+from repro.codegen import CrySLBasedCodeGenerator
+from repro.crysl import RuleSet
+from repro.diagnostics import SUPERVISOR_DEGRADED, SUPERVISOR_RESTARTS
 from repro.engine import (
+    AnalyzeRequest,
     BreakerConfig,
     BreakerRegistry,
     CircuitOpenError,
@@ -41,6 +43,13 @@ from repro.engine import (
     SupervisorConfig,
 )
 from repro.engine import supervisor as supervisor_module
+from repro.engine.supervisor import (
+    PoolStalledError,
+    TaskOutcome,
+    TaskRunner,
+    run_specs_on_executor,
+)
+from repro.sast import ProjectAnalyzer
 from repro.usecases import use_case
 
 TEMPLATE = str(use_case(1).template_path())
@@ -53,6 +62,24 @@ ANALYZE_SOURCES = {
         "from helpers import make_iv\n"
         "def run():\n"
         "    return make_iv()\n"
+    ),
+}
+
+#: Two modules sharing no top-level name: two components, so
+#: ``jobs=2`` analysis really runs on the process pool.
+SPLIT_SOURCES = {
+    "digest.py": (
+        "from repro.jca import MessageDigest\n"
+        "def digest(data):\n"
+        "    md = MessageDigest.get_instance('MD5')\n"
+        "    return md.digest(data)\n"
+    ),
+    "encrypt.py": (
+        "from repro.jca import Cipher\n"
+        "def encrypt(key, data):\n"
+        "    c = Cipher.get_instance('AES/ECB/PKCS5Padding')\n"
+        "    c.init(Cipher.ENCRYPT_MODE, key)\n"
+        "    return c.do_final(data)\n"
     ),
 }
 
@@ -147,40 +174,44 @@ class _FakeGenerator:
         return f"gen:{name}"
 
 
-def _install_fake_pool(monkeypatch, behaviors: list, rss_mb: float = 10.0):
-    """Replace the raw WorkerPool with a scripted fake.
+def _fake_runner() -> TaskRunner:
+    """A runner whose in-process tasks go to :class:`_FakeGenerator`."""
+    return TaskRunner(RuleSet(), generator=_FakeGenerator())
 
-    ``behaviors`` is consumed one entry per ``run_tasks`` call:
-    ``"crash"`` raises ``BrokenProcessPool``, ``"stall"`` raises
-    ``PoolStalledError``, anything else succeeds. Returns a counters
-    dict (``built``/``runs``/``closed``/``killed``).
+
+def _install_fake_pool(monkeypatch, behaviors: list, rss_mb: float = 10.0):
+    """Replace the process executor and its batch driver with fakes.
+
+    ``behaviors`` is consumed one entry per batch submitted to an
+    executor: ``"crash"`` raises ``BrokenProcessPool``, ``"stall"``
+    raises ``PoolStalledError``, anything else succeeds. Returns a
+    counters dict (``built``/``runs``/``closed``/``killed``); a joining
+    shutdown counts as closed, a non-waiting one as killed.
     """
     calls = {"built": 0, "runs": 0, "closed": 0, "killed": 0}
 
-    class FakePool:
-        def __init__(self, generator, jobs):
+    class FakeExecutor:
+        def __init__(self, max_workers, initializer, initargs, mp_context):
             calls["built"] += 1
-            self.jobs = jobs
+            self.max_workers = max_workers
 
-        def run_tasks(self, specs, *, stall_timeout=None):
-            calls["runs"] += 1
-            behavior = behaviors.pop(0) if behaviors else "ok"
-            if behavior == "crash":
-                raise BrokenProcessPool("injected worker death")
-            if behavior == "stall":
-                raise PoolStalledError("injected wedged pool")
-            return [
-                TaskOutcome(i, f"module-{i}", None, rss_mb=rss_mb)
-                for i in range(len(specs))
-            ]
+        def shutdown(self, wait=True, cancel_futures=False):
+            calls["closed" if wait else "killed"] += 1
 
-        def close(self):
-            calls["closed"] += 1
+    def fake_run_specs(executor, specs, *, stall_timeout=None):
+        calls["runs"] += 1
+        behavior = behaviors.pop(0) if behaviors else "ok"
+        if behavior == "crash":
+            raise BrokenProcessPool("injected worker death")
+        if behavior == "stall":
+            raise PoolStalledError("injected wedged pool")
+        return [
+            TaskOutcome(i, f"module-{i}", None, rss_mb=rss_mb)
+            for i in range(len(specs))
+        ]
 
-        def kill(self):
-            calls["killed"] += 1
-
-    monkeypatch.setattr(supervisor_module, "WorkerPool", FakePool)
+    monkeypatch.setattr(supervisor_module, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(supervisor_module, "run_specs_on_executor", fake_run_specs)
     return calls
 
 
@@ -192,10 +223,10 @@ class TestSupervisedWorkerPool:
     def test_restart_after_worker_death_then_success(self, monkeypatch):
         calls = _install_fake_pool(monkeypatch, ["crash", "ok"])
         pool = SupervisedWorkerPool(
-            _FakeGenerator(), 2, config=SupervisorConfig(**FAST_BACKOFF)
+            _fake_runner(), 2, config=SupervisorConfig(**FAST_BACKOFF)
         )
         outcomes = pool.run_tasks(SPECS)
-        assert [o.module for o in outcomes] == ["module-0", "module-1"]
+        assert [o.value for o in outcomes] == ["module-0", "module-1"]
         assert pool.restarts == 1 and pool.retries == 1
         assert calls["built"] == 2  # dead pool discarded, fresh one built
         assert not pool.degraded
@@ -204,14 +235,14 @@ class TestSupervisedWorkerPool:
     def test_degrades_to_serial_when_budget_exhausted(self, monkeypatch):
         _install_fake_pool(monkeypatch, ["crash", "crash"])
         pool = SupervisedWorkerPool(
-            _FakeGenerator(),
+            _fake_runner(),
             2,
             config=SupervisorConfig(max_restarts=1, **FAST_BACKOFF),
         )
         outcomes = pool.run_tasks(SPECS)
         # The batch still completed — in-process, crash-immune.
         assert all(o.in_process for o in outcomes)
-        assert [o.module for o in outcomes] == ["gen:a.py", "gen:b.py"]
+        assert [o.value for o in outcomes] == ["gen:a.py", "gen:b.py"]
         assert pool.degraded and pool.state == "degraded"
         assert pool.degraded_batches == 1
         assert pool.to_dict()["degraded"] is True
@@ -219,7 +250,7 @@ class TestSupervisedWorkerPool:
     def test_successful_batch_clears_degraded(self, monkeypatch):
         _install_fake_pool(monkeypatch, ["crash", "crash", "ok"])
         pool = SupervisedWorkerPool(
-            _FakeGenerator(),
+            _fake_runner(),
             2,
             config=SupervisorConfig(max_restarts=1, **FAST_BACKOFF),
         )
@@ -231,7 +262,7 @@ class TestSupervisedWorkerPool:
     def test_probe_recovers_a_degraded_pool(self, monkeypatch):
         _install_fake_pool(monkeypatch, ["crash", "crash"])
         pool = SupervisedWorkerPool(
-            _FakeGenerator(),
+            _fake_runner(),
             2,
             config=SupervisorConfig(max_restarts=1, **FAST_BACKOFF),
         )
@@ -243,7 +274,7 @@ class TestSupervisedWorkerPool:
     def test_recycles_after_task_budget(self, monkeypatch):
         calls = _install_fake_pool(monkeypatch, [])
         pool = SupervisedWorkerPool(
-            _FakeGenerator(),
+            _fake_runner(),
             1,
             config=SupervisorConfig(max_tasks_per_worker=1, **FAST_BACKOFF),
         )
@@ -255,7 +286,7 @@ class TestSupervisedWorkerPool:
     def test_recycles_on_memory_ceiling(self, monkeypatch):
         calls = _install_fake_pool(monkeypatch, [], rss_mb=512.0)
         pool = SupervisedWorkerPool(
-            _FakeGenerator(),
+            _fake_runner(),
             1,
             config=SupervisorConfig(worker_memory_mb=256, **FAST_BACKOFF),
         )
@@ -266,7 +297,7 @@ class TestSupervisedWorkerPool:
 
     def test_backoff_is_bounded(self):
         pool = SupervisedWorkerPool(
-            _FakeGenerator(),
+            _fake_runner(),
             1,
             config=SupervisorConfig(
                 backoff_base_seconds=0.05, backoff_max_seconds=0.2, jitter=0.25
@@ -283,10 +314,10 @@ class TestSupervisedWorkerPool:
         # hang forever, so the supervisor must kill() it.
         calls = _install_fake_pool(monkeypatch, ["stall", "ok"])
         pool = SupervisedWorkerPool(
-            _FakeGenerator(), 2, config=SupervisorConfig(**FAST_BACKOFF)
+            _fake_runner(), 2, config=SupervisorConfig(**FAST_BACKOFF)
         )
         outcomes = pool.run_tasks(SPECS)
-        assert [o.module for o in outcomes] == ["module-0", "module-1"]
+        assert [o.value for o in outcomes] == ["module-0", "module-1"]
         assert pool.restarts == 1
         assert calls["killed"] == 1 and calls["closed"] == 0
         assert not pool.degraded
@@ -294,7 +325,7 @@ class TestSupervisedWorkerPool:
     def test_persistent_stall_degrades_to_serial(self, monkeypatch):
         _install_fake_pool(monkeypatch, ["stall", "stall"])
         pool = SupervisedWorkerPool(
-            _FakeGenerator(),
+            _fake_runner(),
             2,
             config=SupervisorConfig(max_restarts=1, **FAST_BACKOFF),
         )
@@ -315,7 +346,76 @@ class TestPoolPlumbing:
         # they pick up their first task (the executor then waits on
         # the future forever). The pool must use a start method that
         # does not fork the parent directly.
-        assert parallel.pool_mp_context().get_start_method() != "fork"
+        assert supervisor_module.pool_mp_context().get_start_method() != "fork"
+
+    def test_analysis_pool_never_forks_a_multithreaded_parent(
+        self, monkeypatch
+    ):
+        # Parallel analysis runs on the supervised pool, so its workers
+        # come from the forkserver context too.
+        contexts = []
+        real_executor = supervisor_module.ProcessPoolExecutor
+
+        def recording_executor(*args, **kwargs):
+            contexts.append(kwargs["mp_context"])
+            return real_executor(*args, **kwargs)
+
+        monkeypatch.setattr(
+            supervisor_module, "ProcessPoolExecutor", recording_executor
+        )
+        parallel = ProjectAnalyzer().analyze_sources(SPLIT_SOURCES, jobs=2)
+        assert contexts
+        assert all(c.get_start_method() != "fork" for c in contexts)
+        serial = ProjectAnalyzer().analyze_sources(SPLIT_SOURCES, jobs=1)
+        assert parallel.to_dict() == serial.to_dict()
+
+    def test_analysis_worker_crashes_are_absorbed(self, monkeypatch):
+        serial = ProjectAnalyzer().analyze_sources(SPLIT_SOURCES, jobs=1)
+        assert serial.findings  # the comparison below is not vacuous
+        monkeypatch.setenv(faults.FAULTS_ENV, "worker_crash:1.0")
+        faults.reset()  # re-read the environment on next use
+        analyzer = ProjectAnalyzer()
+        crashed = analyzer.analyze_sources(SPLIT_SOURCES, jobs=2)
+        counters = analyzer.diagnostics.counters
+        # Every pool attempt dies; the batch still completes in-process.
+        assert counters[SUPERVISOR_RESTARTS] > 0
+        assert counters[SUPERVISOR_DEGRADED] == 1
+        assert crashed.render() == serial.render()
+        assert crashed.to_dict() == serial.to_dict()
+
+    def test_standalone_generate_many_uses_the_supervised_pool(
+        self, monkeypatch
+    ):
+        batches = []
+        real_run_tasks = SupervisedWorkerPool.run_tasks
+
+        def spy(self, specs):
+            batches.append(len(specs))
+            return real_run_tasks(self, specs)
+
+        monkeypatch.setattr(SupervisedWorkerPool, "run_tasks", spy)
+        modules = CrySLBasedCodeGenerator().generate_many(
+            [TEMPLATE, TEMPLATE_2], jobs=2
+        )
+        assert batches == [2]
+        assert len(modules) == 2
+
+    def test_engine_analysis_runs_on_the_resident_pool(self):
+        with CryptoGenEngine() as engine:
+            parallel = engine.analyze(AnalyzeRequest(sources=SPLIT_SOURCES, jobs=2))
+            pool = engine.health(probe=False)["pool"]
+            assert pool is not None and pool["batches"] == 1
+            serial = engine.analyze(AnalyzeRequest(sources=SPLIT_SOURCES))
+        assert parallel.ok and serial.ok
+        assert parallel.analysis.to_dict() == serial.analysis.to_dict()
+
+    def test_engine_analysis_without_fan_out_leaves_the_pool_alone(self):
+        # One module cannot fan out: no batch lock, no resident pool.
+        with CryptoGenEngine() as engine:
+            sources = {"only.py": "def f():\n    return 1\n"}
+            result = engine.analyze(AnalyzeRequest(sources=sources, jobs=4))
+            assert result.ok
+            assert engine.health(probe=False)["pool"] is None
 
     def test_stall_watchdog_raises_instead_of_waiting_forever(
         self, monkeypatch
@@ -330,11 +430,11 @@ class TestPoolPlumbing:
             release.wait(5.0)
             return index, None, None, None, 0.0
 
-        monkeypatch.setattr(parallel, "_run_task", wedged_task)
+        monkeypatch.setattr(supervisor_module, "_run_task", wedged_task)
         with ThreadPoolExecutor(max_workers=1) as executor:
             started = time.monotonic()
             with pytest.raises(PoolStalledError):
-                parallel.run_specs_on_executor(
+                run_specs_on_executor(
                     executor, SPECS, stall_timeout=0.05
                 )
             assert time.monotonic() - started < 2.0
@@ -349,15 +449,15 @@ class TestPoolPlumbing:
             time.sleep(0.04)
             return index, f"module-{index}", None, None, 0.0
 
-        monkeypatch.setattr(parallel, "_run_task", slow_task)
+        monkeypatch.setattr(supervisor_module, "_run_task", slow_task)
         specs = [("path", f"{n}.py", f"{n}.py") for n in range(4)]
         with ThreadPoolExecutor(max_workers=1) as executor:
             # 4 serial tasks x 40ms ≈ 160ms total, but no single gap
             # exceeds the 60ms stall budget.
-            outcomes = parallel.run_specs_on_executor(
+            outcomes = run_specs_on_executor(
                 executor, specs, stall_timeout=0.06
             )
-        assert [o.module for o in outcomes] == [
+        assert [o.value for o in outcomes] == [
             f"module-{n}" for n in range(4)
         ]
 

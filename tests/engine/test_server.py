@@ -227,6 +227,32 @@ class TestTimeout:
         assert [r["seq"] for r in responses] == [1, 2]
         assert server.metrics.to_dict()["timeouts"] == 1
 
+    def test_barrier_op_is_never_shed_behind_slow_work(self, monkeypatch):
+        # A stats op runs when the writer reaches its slot, so the time
+        # the connection's earlier work takes must not count against
+        # the stats op's own deadline.
+        import time
+
+        server = EngineServer(CryptoGenEngine(), timeout=30.0, workers=2)
+        real_generate = server.engine.generate
+
+        def slow_generate(request):
+            time.sleep(0.3)
+            return real_generate(request)
+
+        monkeypatch.setattr(server.engine, "generate", slow_generate)
+        generated, stats = _run(
+            server,
+            [
+                {"id": 1, "op": "generate", "template": TEMPLATE},
+                {"id": 2, "op": "stats", "deadline_ms": 10},
+            ],
+        )
+        assert generated["ok"]
+        assert stats["ok"], stats.get("error")
+        assert stats["requests"] == 1
+        server.engine.close()
+
     def test_fast_requests_beat_the_deadline(self, monkeypatch):
         server = EngineServer(CryptoGenEngine(), timeout=30.0, workers=2)
         responses = _run(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import pytest
 
 from repro.codegen.fluent import ConsideredRule, GenerationRequest
